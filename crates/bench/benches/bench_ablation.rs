@@ -3,8 +3,8 @@
 //! * Algorithm 1 (paper-faithful path specialisation) vs the general
 //!   Algorithm 2 on the same path query — measures what the factored
 //!   multiplicity tables recover;
-//! * legacy `Value`-row operators vs the dictionary-encoded flat-row
-//!   fast path on the same join (the engine's hot-path ablation);
+//! * the dictionary-encoded join, lookup join and group-by the ⊥/⊤
+//!   passes are built from;
 //! * §5.4 top-k capping at several k (accuracy traded in `repro param-l`;
 //!   here we measure its runtime overhead/benefit);
 //! * the naive Theorem 3.1 baseline on a micro instance, to show the
@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tsens_core::{naive_local_sensitivity, tsens, tsens_path, tsens_topk, SessionExt};
 use tsens_data::{AttrId, Count, CountedRelation, Dict, Row, Schema, Value};
-use tsens_engine::ops::{hash_join, hash_join_enc, lookup_join, lookup_join_enc};
+use tsens_engine::ops::{hash_join_enc, lookup_join_enc};
 use tsens_engine::{EngineSession, Pool, SnapshotCell};
 use tsens_query::gyo_decompose;
 use tsens_server::{Client, Server, ServerState};
@@ -45,9 +45,9 @@ fn bench_path_vs_general(c: &mut Criterion) {
     group.finish();
 }
 
-/// Legacy `Value` rows vs dictionary-encoded flat rows on one natural
-/// join R(A,B) ⋈ S(B,C) and one keyed lookup join — the operators the
-/// ⊥/⊤ passes are built from.
+/// Dictionary-encoded flat rows on one natural join R(A,B) ⋈ S(B,C),
+/// one keyed lookup join and one group-by — the operators the ⊥/⊤
+/// passes are built from.
 fn bench_hash_join_encoding(c: &mut Criterion) {
     let rows = if quick() { 2_000 } else { 20_000 };
     let domain = (rows / 10) as i64;
@@ -81,16 +81,11 @@ fn bench_hash_join_encoding(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_hash_join");
     group.sample_size(if quick() { 15 } else { 20 });
-    group.bench_function("hash_join_legacy", |b| b.iter(|| hash_join(&r, &s)));
     group.bench_function("hash_join_encoded", |b| {
         b.iter(|| hash_join_enc(&r_enc, &s_enc))
     });
-    group.bench_function("lookup_join_legacy", |b| b.iter(|| lookup_join(&r, &keyed)));
     group.bench_function("lookup_join_encoded", |b| {
         b.iter(|| lookup_join_enc(&r_enc, &keyed_enc))
-    });
-    group.bench_function("group_legacy", |b| {
-        b.iter(|| r.group(&Schema::new(vec![AttrId(1)])))
     });
     group.bench_function("group_encoded", |b| {
         b.iter(|| r_enc.group(&Schema::new(vec![AttrId(1)])))

@@ -23,7 +23,9 @@
 //! acyclic (doubly acyclic queries, §5.3).
 
 use crate::report::{MultiplicityTable, SensitivityReport};
-use tsens_data::{Database, EncodedRelation, Schema, TsensError};
+use crate::session::SessionExt;
+use std::sync::Arc;
+use tsens_data::{Database, Dict, EncodedRelation, Schema, TsensError};
 use tsens_engine::ops::multiway_join_enc;
 use tsens_engine::session::{EngineSession, QueryPasses};
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
@@ -68,7 +70,7 @@ fn schema_components(schemas: &[&Schema]) -> Vec<Vec<usize>> {
 pub(crate) fn assemble_table_enc(
     atom: &tsens_query::Atom,
     inputs: &[&EncodedRelation],
-    dict: &std::sync::Arc<tsens_data::Dict>,
+    dict: &Arc<Dict>,
 ) -> MultiplicityTable {
     let schemas: Vec<&Schema> = inputs.iter().map(|r| r.schema()).collect();
     let mut factors: Vec<EncodedRelation> = Vec::new();
@@ -78,37 +80,35 @@ pub(crate) fn assemble_table_enc(
         let covered = atom.schema.intersect(joined.schema());
         factors.push(joined.group(&covered));
     }
-    finish_table(
-        atom,
-        MultiplicityTable::from_encoded_factors(atom.relation, factors, dict),
-    )
-}
-
-/// Shared tail of the `assemble_table*` flavours: apply the atom's own
-/// selection predicate when present (§5.4).
-fn finish_table(atom: &tsens_query::Atom, unfiltered: MultiplicityTable) -> MultiplicityTable {
+    let table = MultiplicityTable::from_encoded_factors(atom.relation, factors, dict);
     if atom.predicate.is_trivial() {
-        return unfiltered;
+        return table;
     }
 
     // §5.4 Selections: a candidate tuple must satisfy the atom's own
-    // predicate. The predicate may span factors, so this path materialises
-    // the explicit table, keeping entries whose predicate is not
-    // definitely false (unknown stays — an undecided predicate can be
-    // satisfied by some wildcard completion).
-    let covered = unfiltered.covered.clone();
-    let mut table = unfiltered.materialise();
-    let pred = atom.predicate.clone();
-    let covered_ref = covered.clone();
-    table.retain(|row| {
-        pred.eval_partial(&|a| covered_ref.position(a).map(|pos| row[pos].clone())) != Some(false)
-    });
-    MultiplicityTable::new(atom.relation, covered, table)
+    // predicate. The predicate may span factors, so this path joins the
+    // factors into the explicit table over `covered` and keeps entries
+    // whose predicate is not definitely false (unknown stays — an
+    // undecided predicate can be satisfied by some wildcard completion).
+    // The dictionary is normalized before queries are served, so the
+    // surviving rows stay in value order and the witness tie-break
+    // matches a decoded table's.
+    debug_assert!(dict.is_order_isomorphic());
+    let covered = &table.covered;
+    let explicit = table.materialise_encoded();
+    let mut kept = EncodedRelation::with_capacity(covered.clone(), explicit.len());
+    for (row, c) in explicit.iter() {
+        let value_of = |a| covered.position(a).map(|pos| dict.decode(row[pos]));
+        if atom.predicate.eval_partial(&value_of) != Some(false) {
+            kept.push(row, c);
+        }
+    }
+    MultiplicityTable::from_encoded_factors(atom.relation, vec![kept], dict)
 }
 
 /// Compute `T^i` for atom `ai`, which lives in tree node `v`, from a
 /// session pass state (with the ⊤ pass already forced).
-fn table_for_atom(
+pub(crate) fn table_for_atom(
     cq: &ConjunctiveQuery,
     tree: &DecompositionTree,
     passes: &QueryPasses,
@@ -133,182 +133,58 @@ fn table_for_atom(
     assemble_table_enc(atom, &inputs, &passes.dict)
 }
 
-/// Compute the multiplicity table of every atom (Algorithm 2 steps I–III),
-/// in atom order, over a warm session.
-pub fn multiplicity_tables_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-) -> Result<Vec<MultiplicityTable>, TsensError> {
-    let passes = session.passes(cq, tree)?;
-    let tops = passes.tops(tree);
-    let mut out: Vec<Option<MultiplicityTable>> = (0..cq.atom_count()).map(|_| None).collect();
-    for v in 0..tree.bag_count() {
-        for &ai in &tree.bags()[v].atoms {
-            out[ai] = Some(table_for_atom(cq, tree, &passes, tops, v, ai));
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|t| t.expect("every atom is in a bag"))
-        .collect())
-}
-
-/// [`multiplicity_tables_session`] as a one-shot call (fresh session).
+/// The multiplicity table of every atom (Algorithm 2 steps I–III), in
+/// atom order, as a one-shot call (fresh session; see
+/// [`SessionExt::multiplicity_tables`]).
 pub fn multiplicity_tables(
     db: &Database,
     cq: &ConjunctiveQuery,
     tree: &DecompositionTree,
 ) -> Vec<MultiplicityTable> {
-    multiplicity_tables_session(&EngineSession::for_query(db, cq), cq, tree)
+    EngineSession::for_query(db, cq)
+        .multiplicity_tables(cq, tree)
         .expect("one-shot sessions are resident over their query")
 }
 
-/// Compute the multiplicity table of a single atom — what TSensDP needs
-/// for its primary private relation (Def 6.4), avoiding the other tables'
-/// joins. The table is memoized in the session's result cache, so
-/// repeated DP runs over the same query reuse it.
-pub fn multiplicity_table_for_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-    atom: usize,
-) -> Result<MultiplicityTable, TsensError> {
-    let cached =
-        session.try_cached_query_result("mtable", cq, Some(tree), &[atom as u128], || {
-            let passes = session.passes(cq, tree)?;
-            let tops = passes.tops(tree);
-            let v = (0..tree.bag_count())
-                .find(|&v| tree.bags()[v].atoms.contains(&atom))
-                .expect("atom must be assigned to a bag");
-            Ok(table_for_atom(cq, tree, &passes, tops, v, atom))
-        })?;
-    Ok((*cached).clone())
-}
-
-/// [`multiplicity_table_for_session`] as a one-shot call (fresh session).
+/// The multiplicity table of a single atom as a one-shot call (fresh
+/// session; see [`SessionExt::multiplicity_table_for`]).
 pub fn multiplicity_table_for(
     db: &Database,
     cq: &ConjunctiveQuery,
     tree: &DecompositionTree,
     atom: usize,
 ) -> MultiplicityTable {
-    multiplicity_table_for_session(&EngineSession::for_query(db, cq), cq, tree, atom)
+    EngineSession::for_query(db, cq)
+        .multiplicity_table_for(cq, tree, atom)
         .expect("one-shot sessions are resident over their query")
-}
-
-/// `TSens` (Algorithm 2) over a warm session: local sensitivity, most
-/// sensitive tuple, and the per-relation breakdown, skipping no relation.
-pub fn tsens_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-) -> Result<SensitivityReport, TsensError> {
-    tsens_with_skips_session(session, cq, tree, &[])
 }
 
 /// `TSens` (Algorithm 2): local sensitivity, most sensitive tuple, and the
 /// per-relation breakdown, skipping no relation.
 ///
 /// One-shot wrapper — equivalent to
-/// `tsens_session(&EngineSession::for_query(db, cq), …)` (only the
-/// query's relations are encoded).
+/// `EngineSession::for_query(db, cq).tsens(cq, tree)` (only the query's
+/// relations are encoded; see [`SessionExt::tsens`]).
 pub fn tsens(db: &Database, cq: &ConjunctiveQuery, tree: &DecompositionTree) -> SensitivityReport {
     tsens_with_skips(db, cq, tree, &[])
 }
 
-/// [`tsens_session`] that skips the multiplicity tables of the given
-/// atoms — used when a relation's tuple sensitivity is known to be
-/// bounded elsewhere (the paper skips `Lineitem` in q3: FK-PK joins cap
-/// it at 1, and its table would dominate the runtime; see §7.2).
-///
-/// The finished report is memoized per `(query, tree, skips)`, so a
-/// repeated query is a cache lookup.
-pub fn tsens_with_skips_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-    skip_atoms: &[usize],
-) -> Result<SensitivityReport, TsensError> {
-    let mut salt: Vec<u128> = skip_atoms.iter().map(|&a| a as u128).collect();
-    salt.sort_unstable();
-    salt.dedup();
-    let cached = session.try_cached_query_result("tsens", cq, Some(tree), &salt, || {
-        let passes = session.passes(cq, tree)?;
-        let tops = passes.tops(tree);
-        let mut per_relation = Vec::with_capacity(cq.atom_count());
-        for v in 0..tree.bag_count() {
-            for &ai in &tree.bags()[v].atoms {
-                if skip_atoms.contains(&ai) {
-                    continue;
-                }
-                let table = table_for_atom(cq, tree, &passes, tops, v, ai);
-                per_relation.push(table.max_sensitivity(&cq.atoms()[ai].schema));
-            }
-        }
-        per_relation.sort_by_key(|rs| rs.relation);
-        Ok(SensitivityReport::from_per_relation(per_relation))
-    })?;
-    Ok((*cached).clone())
-}
-
-/// [`tsens_with_skips_session`] as a one-shot call (fresh session).
+/// [`tsens`] skipping the multiplicity tables of the given atoms, as a
+/// one-shot call (fresh session; see [`SessionExt::tsens_with_skips`]).
 pub fn tsens_with_skips(
     db: &Database,
     cq: &ConjunctiveQuery,
     tree: &DecompositionTree,
     skip_atoms: &[usize],
 ) -> SensitivityReport {
-    tsens_with_skips_session(&EngineSession::for_query(db, cq), cq, tree, skip_atoms)
+    EngineSession::for_query(db, cq)
+        .tsens_with_skips(cq, tree, skip_atoms)
         .expect("one-shot sessions are resident over their query")
 }
 
-/// [`tsens_with_skips_session`] with the per-relation multiplicity tables
-/// computed on an explicitly sized worker pool over one shared session
-/// pass state. The tables are independent given the shared ⊤/⊥ passes, so
-/// this parallelises the only super-linear step of Algorithm 2 (Theorem
-/// 5.1's `O(m d n^d log n)` term). Results are bit-identical to the
-/// sequential version. Always computes (no report-cache read): callers
-/// ask for it explicitly to exercise the parallel path.
-///
-/// The `(node, atom)` work items run through
-/// [`tsens_engine::pool::Pool::run`]'s chunked work queue — the old
-/// hand-rolled round-robin bucketing, which assigned each thread a fixed
-/// stride regardless of how skewed the per-atom table costs were, is
-/// retired onto the shared pool primitive.
-///
-/// # Errors
-/// [`TsensError::ZeroThreads`] when `threads == 0` (the request-path
-/// replacement for the old `assert!`), plus the usual residency errors.
-pub fn tsens_parallel_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-    skip_atoms: &[usize],
-    threads: usize,
-) -> Result<SensitivityReport, TsensError> {
-    let pool = tsens_engine::Pool::new(threads)?;
-    let passes = session.passes(cq, tree)?;
-    let tops = passes.tops(tree);
-    let mut items: Vec<(usize, usize)> = Vec::with_capacity(cq.atom_count());
-    for v in 0..tree.bag_count() {
-        for &ai in &tree.bags()[v].atoms {
-            if !skip_atoms.contains(&ai) {
-                items.push((v, ai));
-            }
-        }
-    }
-    let passes_ref = &*passes;
-    let mut per_relation: Vec<crate::report::RelationSensitivity> = pool.run(items.len(), |k| {
-        let (v, ai) = items[k];
-        let table = table_for_atom(cq, tree, passes_ref, tops, v, ai);
-        table.max_sensitivity(&cq.atoms()[ai].schema)
-    });
-    per_relation.sort_by_key(|rs| rs.relation);
-    Ok(SensitivityReport::from_per_relation(per_relation))
-}
-
-/// [`tsens_parallel_session`] as a one-shot call (fresh session).
+/// [`tsens_with_skips`] with the per-relation tables computed on an
+/// explicitly sized worker pool, as a one-shot call (fresh session; see
+/// [`SessionExt::tsens_parallel`]).
 ///
 /// # Errors
 /// [`TsensError::ZeroThreads`] when `threads == 0`.
@@ -319,13 +195,7 @@ pub fn tsens_parallel(
     skip_atoms: &[usize],
     threads: usize,
 ) -> Result<SensitivityReport, TsensError> {
-    tsens_parallel_session(
-        &EngineSession::for_query(db, cq),
-        cq,
-        tree,
-        skip_atoms,
-        threads,
-    )
+    EngineSession::for_query(db, cq).tsens_parallel(cq, tree, skip_atoms, threads)
 }
 
 #[cfg(test)]

@@ -13,37 +13,17 @@
 //! `bench_ablation` benchmark.
 
 use crate::report::SensitivityReport;
-use tsens_data::{Count, CountedRelation, Database, EncodedRelation, TsensError};
+use crate::session::SessionExt;
+use tsens_data::{Count, Database, EncodedRelation, TsensError};
 use tsens_engine::ops::lookup_join_enc;
 use tsens_engine::passes::bag_relations_from_arcs;
 use tsens_engine::session::EngineSession;
 use tsens_query::{ConjunctiveQuery, DecompositionTree};
 
 /// Round every count below the k-th largest up to the k-th largest
-/// (keeping the top-k counts exact). Identity when the relation has at
-/// most `k` entries.
-///
-/// # Panics
-/// Panics if `k == 0`.
-pub fn cap_top_k(rel: &CountedRelation, k: usize) -> CountedRelation {
-    assert!(k > 0, "top-k capping needs k ≥ 1");
-    if rel.len() <= k {
-        return rel.clone();
-    }
-    let mut counts: Vec<Count> = rel.iter().map(|(_, c)| *c).collect();
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    let kth = counts[k - 1];
-    CountedRelation::from_pairs(
-        rel.schema().clone(),
-        rel.iter()
-            .map(|(row, c)| (row.clone(), (*c).max(kth)))
-            .collect(),
-    )
-}
-
-/// [`cap_top_k`] over an encoded summary: counts below the k-th largest
-/// are rounded up to it; rows (already distinct and sorted) are
-/// unchanged, so the capped relation stays canonical.
+/// (keeping the top-k counts exact); identity when the summary has at
+/// most `k` entries. Rows (already distinct and sorted) are unchanged,
+/// so the capped relation stays canonical.
 ///
 /// # Panics
 /// Panics if `k == 0`.
@@ -63,38 +43,25 @@ pub fn cap_top_k_enc(rel: &EncodedRelation, k: usize) -> EncodedRelation {
 }
 
 /// `TSens` with top-k capped summaries, as a one-shot call (fresh
-/// session): returns an **upper bound** report
-/// (`report.local_sensitivity ≥` the exact value; equality when every
-/// summary has at most `k` distinct keys).
+/// session; see [`SessionExt::tsens_topk`]): returns an **upper bound**
+/// report (`report.local_sensitivity ≥` the exact value; equality when
+/// every summary has at most `k` distinct keys).
+///
+/// # Panics
+/// Panics if `k == 0`.
 pub fn tsens_topk(
     db: &Database,
     cq: &ConjunctiveQuery,
     tree: &DecompositionTree,
     k: usize,
 ) -> SensitivityReport {
-    tsens_topk_session(&EngineSession::for_query(db, cq), cq, tree, k)
-        .expect("one-shot sessions are resident over their query")
+    EngineSession::for_query(db, cq)
+        .tsens_topk(cq, tree, k)
+        .expect("k ≥ 1 and one-shot sessions are resident over their query")
 }
 
-/// [`tsens_topk`] over a warm session. The lifted atoms come from the
-/// session's cross-query atom cache; the capped passes themselves are
-/// k-dependent and recomputed, but the finished report is memoized per
-/// `(query, tree, k)`.
-pub fn tsens_topk_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-    tree: &DecompositionTree,
-    k: usize,
-) -> Result<SensitivityReport, TsensError> {
-    assert!(k > 0, "top-k capping needs k ≥ 1");
-    let cached =
-        session.try_cached_query_result("tsens_topk", cq, Some(tree), &[k as u128], || {
-            tsens_topk_uncached(session, cq, tree, k)
-        })?;
-    Ok((*cached).clone())
-}
-
-fn tsens_topk_uncached(
+/// The capped passes and tables behind [`SessionExt::tsens_topk`].
+pub(crate) fn tsens_topk_uncached(
     session: &EngineSession<'_>,
     cq: &ConjunctiveQuery,
     tree: &DecompositionTree,
@@ -187,39 +154,44 @@ mod tests {
         (db, q, tree)
     }
 
+    fn summary(counts: &[Count]) -> EncodedRelation {
+        let mut rel = EncodedRelation::new(Schema::new(vec![tsens_data::AttrId(0)]));
+        for (code, &c) in counts.iter().enumerate() {
+            rel.push(&[code as u32], c);
+        }
+        rel
+    }
+
     #[test]
     fn cap_is_identity_when_k_covers_all() {
-        let rel = CountedRelation::from_pairs(
-            Schema::new(vec![tsens_data::AttrId(0)]),
-            vec![(vec![Value::Int(1)], 5), (vec![Value::Int(2)], 3)],
-        );
-        assert_eq!(cap_top_k(&rel, 2), rel);
-        assert_eq!(cap_top_k(&rel, 10), rel);
+        let rel = summary(&[5, 3]);
+        assert!(cap_top_k_enc(&rel, 2) == rel);
+        assert!(cap_top_k_enc(&rel, 10) == rel);
     }
 
     #[test]
     fn cap_rounds_tail_up_to_kth() {
-        let rel = CountedRelation::from_pairs(
-            Schema::new(vec![tsens_data::AttrId(0)]),
-            vec![
-                (vec![Value::Int(1)], 10),
-                (vec![Value::Int(2)], 7),
-                (vec![Value::Int(3)], 2),
-                (vec![Value::Int(4)], 1),
-            ],
-        );
-        let capped = cap_top_k(&rel, 2);
-        assert_eq!(capped.count_of(&[Value::Int(1)]), 10);
-        assert_eq!(capped.count_of(&[Value::Int(2)]), 7);
-        assert_eq!(capped.count_of(&[Value::Int(3)]), 7);
-        assert_eq!(capped.count_of(&[Value::Int(4)]), 7);
+        let capped = cap_top_k_enc(&summary(&[10, 7, 2, 1]), 2);
+        let counts: Vec<Count> = capped.iter().map(|(_, c)| c).collect();
+        assert_eq!(counts, vec![10, 7, 7, 7]);
     }
 
     #[test]
     #[should_panic(expected = "k ≥ 1")]
     fn zero_k_rejected() {
-        let rel = CountedRelation::new(Schema::empty());
-        let _ = cap_top_k(&rel, 0);
+        let _ = cap_top_k_enc(&summary(&[]), 0);
+    }
+
+    #[test]
+    fn session_zero_k_is_typed_error() {
+        let (db, q, tree) = random_path(0);
+        let session = EngineSession::new(&db);
+        assert_eq!(
+            session.tsens_topk(&q, &tree, 0).err(),
+            Some(TsensError::ZeroTopK)
+        );
+        // The session keeps serving after the rejected request.
+        assert!(session.tsens_topk(&q, &tree, 1).is_ok());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! (its static analysis "will output the same value as for a query without
 //! the selection operators") — that is part of why TSens beats it.
 
+use crate::session::SessionExt;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tsens_data::{
@@ -67,7 +68,7 @@ type AttrSet = BTreeSet<AttrId>;
 /// elastic bounds to an unsharded one, for any query (no co-partition
 /// requirement).
 #[derive(Clone, Copy)]
-enum BaseMf<'a> {
+pub(crate) enum BaseMf<'a> {
     /// Scan the oracle's own catalog.
     Db,
     /// A warm session's shared statistics cache.
@@ -307,7 +308,7 @@ pub fn elastic_sensitivity_sharded(
 ) -> Result<ElasticReport, TsensError> {
     assert!(!sessions.is_empty(), "need at least one shard");
     if sessions.len() == 1 {
-        return elastic_sensitivity_session(&sessions[0], cq, plan, k);
+        return sessions[0].elastic_sensitivity(cq, plan, k);
     }
     Ok(elastic_report(
         sessions[0].database(),
@@ -318,36 +319,10 @@ pub fn elastic_sensitivity_sharded(
     ))
 }
 
-/// [`elastic_sensitivity`] over a warm session: base max-frequency
-/// statistics come from the session's cross-query `mf` cache (so they
-/// are computed once per `(relation, attr set)` across all atoms, plans,
-/// distances and queries), and the finished report is memoized per
-/// `(query, plan, k)`.
-///
-/// # Panics
-/// Panics if `plan` is not a permutation of the query's atom indices.
-pub fn elastic_sensitivity_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-    plan: &[usize],
-    k: Count,
-) -> Result<ElasticReport, TsensError> {
-    session.ensure_resident(cq)?;
-    let mut salt: Vec<u128> = plan.iter().map(|&p| p as u128).collect();
-    salt.push(k);
-    let cached = session.try_cached_query_result("elastic", cq, None, &salt, || {
-        Ok(elastic_report(
-            session.database(),
-            BaseMf::Session(session),
-            cq,
-            plan,
-            k,
-        ))
-    })?;
-    Ok((*cached).clone())
-}
-
-fn elastic_report(
+/// Elastic sensitivity from one statistics source — the shared body of
+/// [`elastic_sensitivity`], [`elastic_sensitivity_sharded`] and
+/// [`SessionExt::elastic_sensitivity`].
+pub(crate) fn elastic_report(
     db: &Database,
     source: BaseMf<'_>,
     cq: &ConjunctiveQuery,

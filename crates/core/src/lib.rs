@@ -24,14 +24,15 @@
 //!   over one database shares the resident encoding and the
 //!   atom/pass/statistic/report caches.
 //!
-//! The one-stop entry point is [`local_sensitivity`], which classifies the
-//! query, picks a decomposition and runs the right algorithm — including
-//! the §5.4 handling of disconnected queries. All free functions are
-//! one-shot wrappers over a throwaway **partial** session that encodes
-//! only the relations the query references (`tsens(db, cq, tree)` ≡
-//! `EngineSession::for_query(db, cq).tsens(cq, tree)`) — observationally
-//! identical to a full session, without paying to encode the rest of the
-//! catalog.
+//! The API is [`SessionExt`] plus one-shot free functions. The TSens free
+//! functions build a throwaway **partial** session that encodes only the
+//! relations the query references and call the method
+//! (`tsens(db, cq, tree)` ≡ `EngineSession::for_query(db, cq).tsens(cq,
+//! tree)`) — observationally identical to a full session, without paying
+//! to encode the rest of the catalog. The one-stop entry point is
+//! [`local_sensitivity`], which classifies the query, picks a
+//! decomposition and runs the right algorithm — including the §5.4
+//! handling of disconnected queries.
 
 pub mod acyclic;
 pub mod approx;
@@ -43,17 +44,15 @@ pub mod session;
 pub mod sharded;
 
 pub use acyclic::{
-    multiplicity_table_for, multiplicity_table_for_session, multiplicity_tables,
-    multiplicity_tables_session, tsens, tsens_parallel, tsens_parallel_session, tsens_session,
-    tsens_with_skips, tsens_with_skips_session,
+    multiplicity_table_for, multiplicity_tables, tsens, tsens_parallel, tsens_with_skips,
 };
-pub use approx::{tsens_topk, tsens_topk_session};
+pub use approx::tsens_topk;
 pub use elastic::{
-    elastic_sensitivity, elastic_sensitivity_session, elastic_sensitivity_sharded,
-    plan_order_from_tree, smooth_elastic_bound, ElasticReport,
+    elastic_sensitivity, elastic_sensitivity_sharded, plan_order_from_tree, smooth_elastic_bound,
+    ElasticReport,
 };
 pub use naive::naive_local_sensitivity;
-pub use path::{tsens_path, tsens_path_session};
+pub use path::tsens_path;
 pub use report::{
     LocalSensitivity, MultiplicityTable, RelationSensitivity, SensitivityReport, TupleRef,
 };

@@ -18,42 +18,25 @@
 //! supported by treating the shared attribute *set* as the composite key.
 
 use crate::report::{RelationSensitivity, SensitivityReport, TupleRef};
+use crate::session::SessionExt;
 use tsens_data::{sat_mul, Database, EncodedRelation, Schema, TsensError, Value};
 use tsens_engine::ops::lookup_join_enc;
 use tsens_engine::session::EngineSession;
-use tsens_query::analysis::path_order;
 use tsens_query::ConjunctiveQuery;
 
-/// Run Algorithm 1 as a one-shot call (fresh session). Returns `None`
-/// when `cq` is not a path join query or carries non-trivial selection
-/// predicates (use [`crate::tsens`], which handles both, in that case).
+/// Run Algorithm 1 as a one-shot call (fresh session; see
+/// [`SessionExt::tsens_path`]). Returns `None` when `cq` is not a path
+/// join query or carries non-trivial selection predicates (use
+/// [`crate::tsens`], which handles both, in that case).
 pub fn tsens_path(db: &Database, cq: &ConjunctiveQuery) -> Option<SensitivityReport> {
-    tsens_path_session(&EngineSession::for_query(db, cq), cq)
+    EngineSession::for_query(db, cq)
+        .tsens_path(cq)
         .expect("one-shot sessions are resident over their query")
-}
-
-/// Run Algorithm 1 over a warm session: lifted atoms come from the
-/// session's atom cache (shared with every other algorithm touching the
-/// same relations) and the finished report is memoized per query.
-pub fn tsens_path_session(
-    session: &EngineSession<'_>,
-    cq: &ConjunctiveQuery,
-) -> Result<Option<SensitivityReport>, TsensError> {
-    let Some(order) = path_order(cq) else {
-        return Ok(None);
-    };
-    if cq.atoms().iter().any(|a| !a.predicate.is_trivial()) {
-        return Ok(None);
-    }
-    let cached = session.try_cached_query_result("tsens_path", cq, None, &[], || {
-        tsens_path_ordered(session, cq, &order)
-    })?;
-    Ok(Some((*cached).clone()))
 }
 
 /// The body of Algorithm 1 for a query already known to be a path, with
 /// `order[i]` the atom index at path position `i`.
-fn tsens_path_ordered(
+pub(crate) fn tsens_path_ordered(
     session: &EngineSession<'_>,
     cq: &ConjunctiveQuery,
     order: &[usize],

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use tsens_data::{
     sat_mul, Count, CountedRelation, Database, Dict, EncodedRelation, Row, Schema, Value,
 };
+use tsens_engine::ops::hash_join_enc;
 
 /// A (possibly partial) tuple of one relation: one entry per schema
 /// column, `None` meaning "any value" — the paper's extrapolated
@@ -101,61 +102,31 @@ pub type LocalSensitivity = SensitivityReport;
 /// the passes hand their summaries over without decoding); lookups
 /// encode the probe values and binary-search the sorted rows. A probe
 /// value absent from the dictionary cannot be in the table: count 0.
-/// Both the table and the dictionary sit behind `Arc`s, so cloning a
-/// `MultiplicityTable` — e.g. handing one out of a session's result
-/// cache — shares the (potentially large) factor data instead of
-/// deep-copying it.
 #[derive(Clone)]
 struct Factor {
     schema: Schema,
     /// Grouped (distinct rows, sorted) encoded table.
     table: Arc<EncodedRelation>,
-    dict: Arc<Dict>,
     /// Largest entry (row, count) decoded, ties broken by smallest row.
     max: Option<(Row, Count)>,
 }
 
 impl Factor {
-    fn from_encoded(table: EncodedRelation, dict: Arc<Dict>) -> Factor {
+    fn from_encoded(table: EncodedRelation, dict: &Dict) -> Factor {
         let max = table
             .max_entry()
             .map(|(r, c)| (r.iter().map(|&code| dict.decode(code)).collect(), c));
         Factor {
             schema: table.schema().clone(),
             table: Arc::new(table),
-            dict,
             max,
         }
-    }
-
-    fn from_counted(rel: &CountedRelation) -> Factor {
-        let dict = Arc::new(Dict::from_values(
-            rel.iter()
-                .flat_map(|(row, _)| row.iter().cloned())
-                .collect::<Vec<_>>(),
-        ));
-        let mut table = dict.encode_counted(rel);
-        table.sort();
-        Factor::from_encoded(table, dict)
     }
 
     /// Count of the encoded `key`, or 0 — binary search over the sorted
     /// rows.
     fn lookup_codes(&self, key: &[u32]) -> Count {
-        let (mut lo, mut hi) = (0usize, self.table.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.table.row(mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < self.table.len() && self.table.row(lo) == key {
-            self.table.count(lo)
-        } else {
-            0
-        }
+        self.table.find_row(key).map_or(0, |i| self.table.count(i))
     }
 }
 
@@ -176,7 +147,10 @@ impl Factor {
 ///
 /// `covered` is the subset of the relation's schema shared with at least
 /// one other atom; the remaining attributes are wildcards that cannot
-/// affect the join.
+/// affect the join. The factors and the dictionary sit behind `Arc`s, so
+/// cloning a `MultiplicityTable` — e.g. handing one out of a session's
+/// result cache — shares the (potentially large) factor data instead of
+/// deep-copying it.
 #[derive(Clone)]
 pub struct MultiplicityTable {
     /// Index of the relation in the database catalog.
@@ -185,44 +159,16 @@ pub struct MultiplicityTable {
     /// relation's schema.
     pub covered: Schema,
     factors: Vec<Factor>,
+    /// The dictionary every factor is encoded with.
+    dict: Arc<Dict>,
 }
 
 impl MultiplicityTable {
-    /// Wrap a single grouped counted relation (no factorisation).
-    pub fn new(relation: usize, covered: Schema, table: CountedRelation) -> Self {
-        debug_assert_eq!(table.schema(), &covered);
-        MultiplicityTable {
-            relation,
-            covered,
-            factors: vec![Factor::from_counted(&table)],
-        }
-    }
-
-    /// Build from schema-disjoint factors. An **empty factor list** means
-    /// "no other relations constrain this one": every tuple has
-    /// sensitivity 1 (the single-relation query case).
-    ///
-    /// # Panics
-    /// Panics if two factors share an attribute.
-    pub fn from_factors(relation: usize, factors: Vec<CountedRelation>) -> Self {
-        let mut covered = Schema::empty();
-        for f in &factors {
-            assert!(
-                covered.is_disjoint_from(f.schema()),
-                "multiplicity-table factors must be schema-disjoint"
-            );
-            covered = covered.union(f.schema());
-        }
-        MultiplicityTable {
-            relation,
-            covered,
-            factors: factors.iter().map(Factor::from_counted).collect(),
-        }
-    }
-
-    /// [`MultiplicityTable::from_factors`] over already-encoded grouped
-    /// factors sharing one dictionary — the engine's fast path hands its
-    /// pass outputs straight in, with no decode and no re-hashing.
+    /// Build from schema-disjoint, grouped encoded factors sharing one
+    /// dictionary — the engine hands its pass outputs straight in, with
+    /// no decode and no re-hashing. An **empty factor list** means "no
+    /// other relations constrain this one": every tuple has sensitivity 1
+    /// (the single-relation query case).
     ///
     /// # Panics
     /// Panics if two factors share an attribute.
@@ -244,8 +190,9 @@ impl MultiplicityTable {
             covered,
             factors: factors
                 .into_iter()
-                .map(|t| Factor::from_encoded(t, Arc::clone(dict)))
+                .map(|t| Factor::from_encoded(t, dict))
                 .collect(),
+            dict: Arc::clone(dict),
         }
     }
 
@@ -259,7 +206,7 @@ impl MultiplicityTable {
             let idx = rel_schema.projection_indices(&f.schema);
             key.clear();
             for &i in &idx {
-                match f.dict.encode(&row[i]) {
+                match self.dict.encode(&row[i]) {
                     Some(code) => key.push(code),
                     None => return 0,
                 }
@@ -305,18 +252,22 @@ impl MultiplicityTable {
         }
     }
 
-    /// Materialise the explicit table over `covered` (the cross product of
-    /// the factors). Exponential in the factor count — used by tests and
-    /// the predicate-filtering path, not by the hot path.
-    pub fn materialise(&self) -> CountedRelation {
-        let mut out = CountedRelation::unit();
+    /// The explicit table over `covered`, encoded: the cross product of
+    /// the factors, grouped (rows distinct and sorted). Its size is the
+    /// product of the factor sizes, so only atoms with a selection
+    /// predicate (§5.4), which may span factors, pay for it.
+    pub(crate) fn materialise_encoded(&self) -> EncodedRelation {
+        let mut out = EncodedRelation::unit();
         for f in &self.factors {
-            let as_rel = f.table.decode(&f.dict);
-            out = tsens_engine::ops::hash_join(&out, &as_rel);
+            out = hash_join_enc(&out, &f.table);
         }
-        let mut grouped = out.group(&self.covered);
-        grouped.sort();
-        grouped
+        out.group(&self.covered)
+    }
+
+    /// The explicit table over `covered`, decoded to values: the cross
+    /// product of the factors, grouped (rows distinct and sorted).
+    pub fn materialise(&self) -> CountedRelation {
+        self.materialise_encoded().decode(&self.dict)
     }
 
     /// Number of stored entries across factors (memory proxy; the
@@ -362,6 +313,26 @@ mod tests {
         vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
+    /// A multiplicity table over `factors`, encoded with one dictionary
+    /// covering all of their values.
+    fn table(relation: usize, factors: Vec<CountedRelation>) -> MultiplicityTable {
+        let dict = Arc::new(Dict::from_values(
+            factors
+                .iter()
+                .flat_map(|f| f.iter().flat_map(|(row, _)| row.iter().cloned()))
+                .collect::<Vec<_>>(),
+        ));
+        let encoded = factors
+            .iter()
+            .map(|f| {
+                let mut t = dict.encode_counted(f);
+                t.sort();
+                t
+            })
+            .collect();
+        MultiplicityTable::from_encoded_factors(relation, encoded, &dict)
+    }
+
     #[test]
     fn tuple_ref_concretise_fills_wildcards() {
         let t = TupleRef {
@@ -402,11 +373,12 @@ mod tests {
         // Relation schema (A0, A1, A2); covered = (A0, A2).
         let rel_schema = schema(&[0, 1, 2]);
         let covered = schema(&[0, 2]);
-        let table = CountedRelation::from_pairs(
+        let t = CountedRelation::from_pairs(
             covered.clone(),
             vec![(row(&[1, 9]), 4), (row(&[2, 9]), 2)],
         );
-        let mt = MultiplicityTable::new(0, covered, table);
+        let mt = table(0, vec![t]);
+        assert_eq!(mt.covered, covered);
         assert_eq!(mt.sensitivity_of(&rel_schema, &row(&[1, 555, 9])), 4);
         assert_eq!(mt.sensitivity_of(&rel_schema, &row(&[2, 0, 9])), 2);
         assert_eq!(mt.sensitivity_of(&rel_schema, &row(&[3, 0, 9])), 0);
@@ -421,7 +393,7 @@ mod tests {
         let rel_schema = schema(&[0, 1, 2]);
         let f0 = CountedRelation::from_pairs(schema(&[0]), vec![(row(&[1]), 3), (row(&[2]), 5)]);
         let f1 = CountedRelation::from_pairs(schema(&[2]), vec![(row(&[9]), 7)]);
-        let mt = MultiplicityTable::from_factors(0, vec![f0, f1]);
+        let mt = table(0, vec![f0, f1]);
         assert_eq!(mt.sensitivity_of(&rel_schema, &row(&[2, 0, 9])), 35);
         assert_eq!(mt.sensitivity_of(&rel_schema, &row(&[1, 0, 9])), 21);
         assert_eq!(mt.sensitivity_of(&rel_schema, &row(&[1, 0, 8])), 0);
@@ -438,7 +410,7 @@ mod tests {
     fn materialise_matches_factored_lookups() {
         let f0 = CountedRelation::from_pairs(schema(&[0]), vec![(row(&[1]), 3), (row(&[2]), 5)]);
         let f1 = CountedRelation::from_pairs(schema(&[2]), vec![(row(&[9]), 7), (row(&[8]), 2)]);
-        let mt = MultiplicityTable::from_factors(0, vec![f0, f1]);
+        let mt = table(0, vec![f0, f1]);
         let mat = mt.materialise();
         assert_eq!(mat.len(), 4);
         let rel_schema = schema(&[0, 2]);
@@ -449,7 +421,7 @@ mod tests {
 
     #[test]
     fn zero_factors_means_sensitivity_one() {
-        let mt = MultiplicityTable::from_factors(3, vec![]);
+        let mt = table(3, vec![]);
         let rel_schema = schema(&[0]);
         assert_eq!(mt.sensitivity_of(&rel_schema, &row(&[42])), 1);
         let rs = mt.max_sensitivity(&rel_schema);
@@ -461,7 +433,7 @@ mod tests {
     #[test]
     fn empty_factor_zeroes_everything() {
         let f0 = CountedRelation::new(schema(&[0]));
-        let mt = MultiplicityTable::from_factors(1, vec![f0]);
+        let mt = table(1, vec![f0]);
         assert!(mt.is_empty());
         let rs = mt.max_sensitivity(&schema(&[0, 1]));
         assert_eq!(rs.sensitivity, 0);
@@ -474,6 +446,6 @@ mod tests {
     fn overlapping_factors_rejected() {
         let f0 = CountedRelation::new(schema(&[0, 1]));
         let f1 = CountedRelation::new(schema(&[1]));
-        let _ = MultiplicityTable::from_factors(0, vec![f0, f1]);
+        let _ = table(0, vec![f0, f1]);
     }
 }

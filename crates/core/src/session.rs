@@ -1,11 +1,13 @@
-//! Sensitivity algorithms as session methods.
+//! Sensitivity algorithms as session methods — the crate's query API.
 //!
 //! [`EngineSession`] lives in `tsens-engine` (below this crate in the
 //! dependency order), so the TSens algorithms attach to it through an
-//! extension trait: `use tsens_core::SessionExt;` and every entry point
-//! of this crate becomes a method on a warm session. The free functions
-//! (`tsens`, `tsens_path`, `elastic_sensitivity`, …) remain available as
-//! one-shot wrappers that build a throwaway session per call.
+//! extension trait: `use tsens_core::SessionExt;` and every algorithm of
+//! this crate is a method on a warm session. The only other entry points
+//! are the one-shot free functions (`tsens`, `tsens_path`,
+//! `elastic_sensitivity`, …), which answer a single query without a
+//! caller-held session; the TSens ones build a throwaway session and call
+//! the method here.
 //!
 //! ```
 //! use tsens_core::SessionExt;
@@ -45,20 +47,23 @@
 //! assert!(session.delete(0, vec![Value::Int(3), Value::Int(4)]).unwrap());
 //! ```
 
-use crate::elastic::ElasticReport;
-use crate::report::{MultiplicityTable, SensitivityReport};
+use crate::acyclic::table_for_atom;
+use crate::approx::tsens_topk_uncached;
+use crate::elastic::{elastic_report, BaseMf, ElasticReport};
+use crate::path::tsens_path_ordered;
+use crate::report::{MultiplicityTable, RelationSensitivity, SensitivityReport};
 use tsens_data::{sat_mul, Count, TsensError};
 use tsens_engine::session::EngineSession;
+use tsens_query::analysis::path_order;
 use tsens_query::{auto_decompose, classify, ConjunctiveQuery, DecompositionTree, QueryError};
 
 /// The TSens algorithm suite as methods on a warm [`EngineSession`].
 ///
-/// Every method is observationally identical to its free-function
-/// counterpart on the session's database; the difference is purely
-/// amortization (shared dictionary, lifted atoms, pass states, cached
-/// statistics and reports).
+/// A stream of queries over one session shares the dictionary, lifted
+/// atoms, pass states, cached statistics and finished reports.
 pub trait SessionExt {
-    /// [`crate::tsens`] on the session's database.
+    /// `TSens` (Algorithm 2): local sensitivity, most sensitive tuple, and
+    /// the per-relation breakdown, skipping no relation.
     ///
     /// # Errors
     /// [`TsensError`] when the (partial) session does not serve one of
@@ -71,7 +76,12 @@ pub trait SessionExt {
         tree: &DecompositionTree,
     ) -> Result<SensitivityReport, TsensError>;
 
-    /// [`crate::tsens_with_skips`] on the session's database.
+    /// [`SessionExt::tsens`] skipping the multiplicity tables of the
+    /// given atoms — used when a relation's tuple sensitivity is known to
+    /// be bounded elsewhere (the paper skips `Lineitem` in q3: FK-PK joins
+    /// cap it at 1, and its table would dominate the runtime; see §7.2).
+    /// The finished report is memoized per `(query, tree, skips)`, so a
+    /// repeated query is a cache lookup.
     ///
     /// # Errors
     /// See [`SessionExt::tsens`].
@@ -82,10 +92,20 @@ pub trait SessionExt {
         skip_atoms: &[usize],
     ) -> Result<SensitivityReport, TsensError>;
 
-    /// [`crate::tsens_parallel`] on the session's database.
+    /// [`SessionExt::tsens_with_skips`] with the per-relation
+    /// multiplicity tables computed on an explicitly sized worker pool
+    /// over one shared pass state. The tables are independent given the
+    /// shared ⊤/⊥ passes, so this parallelises the only super-linear step
+    /// of Algorithm 2 (Theorem 5.1's `O(m d n^d log n)` term); the
+    /// `(node, atom)` work items run through
+    /// [`tsens_engine::pool::Pool::run`]'s chunked work queue. Results are
+    /// bit-identical to the sequential version. Always computes (no
+    /// report-cache read): callers ask for it explicitly to exercise the
+    /// parallel path.
     ///
     /// # Errors
-    /// See [`SessionExt::tsens`].
+    /// [`TsensError::ZeroThreads`] when `threads == 0`, plus the errors of
+    /// [`SessionExt::tsens`].
     fn tsens_parallel(
         &self,
         cq: &ConjunctiveQuery,
@@ -94,17 +114,24 @@ pub trait SessionExt {
         threads: usize,
     ) -> Result<SensitivityReport, TsensError>;
 
-    /// [`crate::tsens_path`] on the session's database. `Ok(None)` means
-    /// the query is not a (predicate-free) path join query.
+    /// Algorithm 1 for path join queries. `Ok(None)` means the query is
+    /// not a (predicate-free) path join query — use [`SessionExt::tsens`],
+    /// which handles both. Lifted atoms come from the session's atom cache
+    /// and the finished report is memoized per query.
     ///
     /// # Errors
     /// See [`SessionExt::tsens`].
     fn tsens_path(&self, cq: &ConjunctiveQuery) -> Result<Option<SensitivityReport>, TsensError>;
 
-    /// [`crate::tsens_topk`] on the session's database.
+    /// `TSens` with top-k capped summaries (§5.4): an **upper bound**
+    /// report (`local_sensitivity ≥` the exact value; equality when every
+    /// summary has at most `k` distinct keys). The capped passes are
+    /// k-dependent and recomputed, but the finished report is memoized
+    /// per `(query, tree, k)`.
     ///
     /// # Errors
-    /// See [`SessionExt::tsens`].
+    /// [`TsensError::ZeroTopK`] when `k == 0`, plus the errors of
+    /// [`SessionExt::tsens`].
     fn tsens_topk(
         &self,
         cq: &ConjunctiveQuery,
@@ -112,7 +139,8 @@ pub trait SessionExt {
         k: usize,
     ) -> Result<SensitivityReport, TsensError>;
 
-    /// [`crate::multiplicity_tables`] on the session's database.
+    /// The multiplicity table of every atom (Algorithm 2 steps I–III),
+    /// in atom order.
     ///
     /// # Errors
     /// See [`SessionExt::tsens`].
@@ -122,7 +150,10 @@ pub trait SessionExt {
         tree: &DecompositionTree,
     ) -> Result<Vec<MultiplicityTable>, TsensError>;
 
-    /// [`crate::multiplicity_table_for`] on the session's database.
+    /// The multiplicity table of a single atom — what TSensDP needs for
+    /// its primary private relation (Def 6.4), avoiding the other tables'
+    /// joins. The table is memoized in the session's result cache, so
+    /// repeated DP runs over the same query reuse it.
     ///
     /// # Errors
     /// See [`SessionExt::tsens`].
@@ -133,10 +164,17 @@ pub trait SessionExt {
         atom: usize,
     ) -> Result<MultiplicityTable, TsensError>;
 
-    /// [`crate::elastic_sensitivity`] on the session's database.
+    /// Elastic sensitivity ([`crate::elastic`]) at distance `k` under join
+    /// `plan`. Base max-frequency statistics come from the session's
+    /// cross-query `mf` cache (computed once per `(relation, attr set)`
+    /// across atoms, plans, distances and queries), and the finished
+    /// report is memoized per `(query, plan, k)`.
     ///
     /// # Errors
     /// See [`SessionExt::tsens`].
+    ///
+    /// # Panics
+    /// Panics if `plan` is not a permutation of the query's atom indices.
     fn elastic_sensitivity(
         &self,
         cq: &ConjunctiveQuery,
@@ -144,9 +182,9 @@ pub trait SessionExt {
         k: Count,
     ) -> Result<ElasticReport, TsensError>;
 
-    /// [`crate::local_sensitivity`] on the session's database: classify
-    /// the query, pick a decomposition, run the right algorithm
-    /// (including the §5.4 handling of disconnected queries).
+    /// Classify the query, pick a decomposition and run the right
+    /// algorithm, including the §5.4 handling of disconnected queries (see
+    /// [`crate::local_sensitivity`]).
     ///
     /// # Errors
     /// Propagates query/decomposition construction failures and session
@@ -160,7 +198,7 @@ impl SessionExt for EngineSession<'_> {
         cq: &ConjunctiveQuery,
         tree: &DecompositionTree,
     ) -> Result<SensitivityReport, TsensError> {
-        crate::acyclic::tsens_session(self, cq, tree)
+        self.tsens_with_skips(cq, tree, &[])
     }
 
     fn tsens_with_skips(
@@ -169,7 +207,26 @@ impl SessionExt for EngineSession<'_> {
         tree: &DecompositionTree,
         skip_atoms: &[usize],
     ) -> Result<SensitivityReport, TsensError> {
-        crate::acyclic::tsens_with_skips_session(self, cq, tree, skip_atoms)
+        let mut salt: Vec<u128> = skip_atoms.iter().map(|&a| a as u128).collect();
+        salt.sort_unstable();
+        salt.dedup();
+        let cached = self.try_cached_query_result("tsens", cq, Some(tree), &salt, || {
+            let passes = self.passes(cq, tree)?;
+            let tops = passes.tops(tree);
+            let mut per_relation = Vec::with_capacity(cq.atom_count());
+            for v in 0..tree.bag_count() {
+                for &ai in &tree.bags()[v].atoms {
+                    if skip_atoms.contains(&ai) {
+                        continue;
+                    }
+                    let table = table_for_atom(cq, tree, &passes, tops, v, ai);
+                    per_relation.push(table.max_sensitivity(&cq.atoms()[ai].schema));
+                }
+            }
+            per_relation.sort_by_key(|rs| rs.relation);
+            Ok(SensitivityReport::from_per_relation(per_relation))
+        })?;
+        Ok((*cached).clone())
     }
 
     fn tsens_parallel(
@@ -179,11 +236,38 @@ impl SessionExt for EngineSession<'_> {
         skip_atoms: &[usize],
         threads: usize,
     ) -> Result<SensitivityReport, TsensError> {
-        crate::acyclic::tsens_parallel_session(self, cq, tree, skip_atoms, threads)
+        let pool = tsens_engine::Pool::new(threads)?;
+        let passes = self.passes(cq, tree)?;
+        let tops = passes.tops(tree);
+        let mut items: Vec<(usize, usize)> = Vec::with_capacity(cq.atom_count());
+        for v in 0..tree.bag_count() {
+            for &ai in &tree.bags()[v].atoms {
+                if !skip_atoms.contains(&ai) {
+                    items.push((v, ai));
+                }
+            }
+        }
+        let passes_ref = &*passes;
+        let mut per_relation: Vec<RelationSensitivity> = pool.run(items.len(), |k| {
+            let (v, ai) = items[k];
+            let table = table_for_atom(cq, tree, passes_ref, tops, v, ai);
+            table.max_sensitivity(&cq.atoms()[ai].schema)
+        });
+        per_relation.sort_by_key(|rs| rs.relation);
+        Ok(SensitivityReport::from_per_relation(per_relation))
     }
 
     fn tsens_path(&self, cq: &ConjunctiveQuery) -> Result<Option<SensitivityReport>, TsensError> {
-        crate::path::tsens_path_session(self, cq)
+        let Some(order) = path_order(cq) else {
+            return Ok(None);
+        };
+        if cq.atoms().iter().any(|a| !a.predicate.is_trivial()) {
+            return Ok(None);
+        }
+        let cached = self.try_cached_query_result("tsens_path", cq, None, &[], || {
+            tsens_path_ordered(self, cq, &order)
+        })?;
+        Ok(Some((*cached).clone()))
     }
 
     fn tsens_topk(
@@ -192,7 +276,14 @@ impl SessionExt for EngineSession<'_> {
         tree: &DecompositionTree,
         k: usize,
     ) -> Result<SensitivityReport, TsensError> {
-        crate::approx::tsens_topk_session(self, cq, tree, k)
+        if k == 0 {
+            return Err(TsensError::ZeroTopK);
+        }
+        let cached =
+            self.try_cached_query_result("tsens_topk", cq, Some(tree), &[k as u128], || {
+                tsens_topk_uncached(self, cq, tree, k)
+            })?;
+        Ok((*cached).clone())
     }
 
     fn multiplicity_tables(
@@ -200,7 +291,18 @@ impl SessionExt for EngineSession<'_> {
         cq: &ConjunctiveQuery,
         tree: &DecompositionTree,
     ) -> Result<Vec<MultiplicityTable>, TsensError> {
-        crate::acyclic::multiplicity_tables_session(self, cq, tree)
+        let passes = self.passes(cq, tree)?;
+        let tops = passes.tops(tree);
+        let mut out: Vec<Option<MultiplicityTable>> = (0..cq.atom_count()).map(|_| None).collect();
+        for v in 0..tree.bag_count() {
+            for &ai in &tree.bags()[v].atoms {
+                out[ai] = Some(table_for_atom(cq, tree, &passes, tops, v, ai));
+            }
+        }
+        Ok(out
+            .into_iter()
+            .map(|t| t.expect("every atom is in a bag"))
+            .collect())
     }
 
     fn multiplicity_table_for(
@@ -209,7 +311,16 @@ impl SessionExt for EngineSession<'_> {
         tree: &DecompositionTree,
         atom: usize,
     ) -> Result<MultiplicityTable, TsensError> {
-        crate::acyclic::multiplicity_table_for_session(self, cq, tree, atom)
+        let cached =
+            self.try_cached_query_result("mtable", cq, Some(tree), &[atom as u128], || {
+                let passes = self.passes(cq, tree)?;
+                let tops = passes.tops(tree);
+                let v = (0..tree.bag_count())
+                    .find(|&v| tree.bags()[v].atoms.contains(&atom))
+                    .expect("atom must be assigned to a bag");
+                Ok(table_for_atom(cq, tree, &passes, tops, v, atom))
+            })?;
+        Ok((*cached).clone())
     }
 
     fn elastic_sensitivity(
@@ -218,7 +329,19 @@ impl SessionExt for EngineSession<'_> {
         plan: &[usize],
         k: Count,
     ) -> Result<ElasticReport, TsensError> {
-        crate::elastic::elastic_sensitivity_session(self, cq, plan, k)
+        self.ensure_resident(cq)?;
+        let mut salt: Vec<u128> = plan.iter().map(|&p| p as u128).collect();
+        salt.push(k);
+        let cached = self.try_cached_query_result("elastic", cq, None, &salt, || {
+            Ok(elastic_report(
+                self.database(),
+                BaseMf::Session(self),
+                cq,
+                plan,
+                k,
+            ))
+        })?;
+        Ok((*cached).clone())
     }
 
     fn local_sensitivity(&self, cq: &ConjunctiveQuery) -> Result<SensitivityReport, QueryError> {

@@ -83,12 +83,6 @@ impl CountedRelation {
         &self.schema
     }
 
-    /// The `(row, count)` entries.
-    #[inline]
-    pub fn entries(&self) -> &[(Row, Count)] {
-        &self.rows
-    }
-
     /// Number of entries (distinct rows if grouped).
     #[inline]
     pub fn len(&self) -> usize {
@@ -165,16 +159,6 @@ impl CountedRelation {
             .iter()
             .filter(|(r, _)| r.as_slice() == key)
             .fold(0, |acc, (_, c)| sat_add(acc, *c))
-    }
-
-    /// Keep only entries whose row satisfies `pred`.
-    pub fn retain(&mut self, mut pred: impl FnMut(&[Value]) -> bool) {
-        self.rows.retain(|(r, _)| pred(r));
-    }
-
-    /// Sort entries lexicographically by row.
-    pub fn sort(&mut self) {
-        self.rows.sort_unstable();
     }
 
     /// Iterate over `(row, count)` entries.
@@ -261,13 +245,5 @@ mod tests {
     #[test]
     fn max_entry_of_empty_is_none() {
         assert!(CountedRelation::new(schema(&[0])).max_entry().is_none());
-    }
-
-    #[test]
-    fn retain_filters_entries() {
-        let mut c = CountedRelation::from_pairs(schema(&[0]), vec![(row(&[1]), 2), (row(&[2]), 3)]);
-        c.retain(|r| r[0].as_int().unwrap() > 1);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.total_count(), 3);
     }
 }

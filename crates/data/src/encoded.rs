@@ -661,8 +661,8 @@ impl EncodedRelation {
             .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(a.0)))
     }
 
-    /// Sort entries by (row, count) — the canonical order of
-    /// [`CountedRelation::sort`] carried over to codes.
+    /// Sort entries by (row, count) in code order, which is value order
+    /// for an order-isomorphic dictionary.
     pub fn sort(&mut self) {
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.sort_unstable_by(|&a, &b| {

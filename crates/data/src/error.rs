@@ -73,6 +73,9 @@ pub enum TsensError {
     /// or an explicit `threads = 0` argument) — the request-path
     /// replacement for the old `assert!(threads > 0)` panic.
     ZeroThreads,
+    /// A top-k capped sensitivity run was asked for `k = 0` — capping
+    /// needs at least one exact frequency.
+    ZeroTopK,
     /// A multi-atom query whose atoms do not all join on their
     /// relations' shard-key columns was submitted to a sharded engine
     /// with more than one shard. Such joins span shards, so per-shard
@@ -107,6 +110,7 @@ impl fmt::Display for TsensError {
             TsensError::ZeroThreads => {
                 write!(f, "thread pool needs at least one thread (got 0)")
             }
+            TsensError::ZeroTopK => write!(f, "top-k capping needs k ≥ 1 (got 0)"),
             TsensError::CrossShardJoin { detail } => {
                 write!(
                     f,

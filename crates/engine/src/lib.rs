@@ -2,12 +2,13 @@
 //!
 //! Multiplicity-propagating execution engine for the `tsens` workspace.
 //!
-//! All operators work on [`tsens_data::CountedRelation`]s — relations with
-//! a `cnt` column — and implement the paper's `r⋈` / `γ` machinery (§4.2):
-//! joins multiply counts, group-bys sum them.
+//! There is one join algebra: every operator works on dictionary-encoded
+//! [`tsens_data::EncodedRelation`]s — flat `u32` rows with a count per
+//! row — and implements the paper's `r⋈` / `γ` machinery (§4.2): joins
+//! multiply counts, group-bys sum them.
 //!
-//! * [`ops`] — natural hash join, keyed lookup join, semijoin, multiway
-//!   join with connectivity-aware ordering;
+//! * [`ops`] — natural hash join (plus its partitioned parallel form),
+//!   keyed lookup join, semijoin, multiway join with cost-based ordering;
 //! * [`passes`] — the botjoin (`⊥`, post-order) and topjoin (`⊤`,
 //!   pre-order) passes over a decomposition tree (Eqns 4–8), shared by
 //!   Yannakakis evaluation and the TSens sensitivity algorithms;
@@ -22,7 +23,9 @@
 //! * [`yannakakis`] — near-linear count evaluation of acyclic (and, via
 //!   GHDs, certain cyclic) counting queries: the paper's "query
 //!   evaluation" runtime baseline;
-//! * [`naive_eval`] — brute-force full-join evaluation for cross-checks.
+//! * [`naive_eval`] — the workspace's single test oracle: brute-force
+//!   full-join evaluation over `Value` rows with its own nested-loop
+//!   join, sharing no code with [`ops`].
 
 pub(crate) mod maintain;
 pub mod naive_eval;
@@ -34,20 +37,17 @@ pub mod shard;
 pub mod snapshot;
 pub mod yannakakis;
 
-pub use naive_eval::{full_join, naive_count};
+pub use naive_eval::{full_join, join_atoms, naive_count};
 pub use ops::{
-    hash_join, hash_join_enc, lookup_join, lookup_join_enc, multiway_join, multiway_join_enc,
-    multiway_join_enc_pooled, partitioned_hash_join_enc, semijoin, semijoin_enc, sort_merge_join,
-    sort_merge_join_enc, PAR_JOIN_THRESHOLD,
+    hash_join_enc, lookup_join_enc, multiway_join_enc, multiway_join_enc_pooled,
+    partitioned_hash_join_enc, semijoin_enc, PAR_JOIN_THRESHOLD,
 };
 pub use passes::{
-    bag_relations, bag_relations_from, bag_relations_from_enc, botjoin_pass, botjoin_pass_enc,
-    botjoin_pass_enc_pooled, botjoin_pass_enc_refs, lift_atoms, lift_atoms_enc, query_dict,
-    topjoin_pass, topjoin_pass_enc, topjoin_pass_enc_pooled, topjoin_pass_enc_refs,
+    botjoin_pass_enc_pooled, botjoin_pass_enc_refs, topjoin_pass_enc_pooled, topjoin_pass_enc_refs,
 };
 pub use pool::{Pool, THREADS_ENV};
 pub use session::{EngineSession, QueryKey, QueryPasses, SessionStats};
 pub use shard::{check_co_partitioned, sharded_count, ShardedDelta, ShardedEngine};
 pub use snapshot::{PublishHook, SnapshotCell};
 pub use tsens_data::Update;
-pub use yannakakis::{count_query, count_query_legacy};
+pub use yannakakis::count_query;

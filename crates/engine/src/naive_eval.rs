@@ -1,20 +1,49 @@
-//! Brute-force query evaluation: materialise the full join.
+//! Brute-force query evaluation: materialise the full join — the
+//! workspace's one test oracle.
 //!
 //! Exponential in the query size; used as ground truth in tests and by the
-//! naive local-sensitivity baseline (Theorem 3.1) on small instances.
+//! naive local-sensitivity baseline (Theorem 3.1) on small instances. It
+//! works on plain `Value` rows through its own nested-loop join and calls
+//! none of the encoded operators in [`crate::ops`], so a test comparing
+//! the engine against it never compares the engine with itself.
 
-use crate::ops::multiway_join;
-use tsens_data::{Count, CountedRelation, Database};
+use tsens_data::{sat_mul, Count, CountedRelation, Database};
 use tsens_query::ConjunctiveQuery;
 
-/// Materialise `Q(D)` as a counted relation over all query attributes
-/// (selection predicates applied). Handles disconnected queries via cross
-/// products.
-pub fn full_join(db: &Database, cq: &ConjunctiveQuery) -> CountedRelation {
-    let lifted: Vec<CountedRelation> = cq
-        .atoms()
+/// Counted natural join by nested loops: every pair of entries agreeing
+/// on the shared attributes, counts multiplied. Result schema is
+/// `left ∪ right` (left's columns first); with no shared attributes it is
+/// the counted cross product.
+pub(crate) fn nested_loop_join(left: &CountedRelation, right: &CountedRelation) -> CountedRelation {
+    let shared = left.schema().intersect(right.schema());
+    let l_key = left.schema().projection_indices(&shared);
+    let r_key = right.schema().projection_indices(&shared);
+    let r_extra = right
+        .schema()
+        .projection_indices(&right.schema().difference(left.schema()));
+    let mut out = CountedRelation::new(left.schema().union(right.schema()));
+    for (lrow, lc) in left.iter() {
+        for (rrow, rc) in right.iter() {
+            if l_key.iter().zip(&r_key).all(|(&i, &j)| lrow[i] == rrow[j]) {
+                let mut row = lrow.clone();
+                row.extend(r_extra.iter().map(|&j| rrow[j].clone()));
+                out.push(row, sat_mul(*lc, *rc));
+            }
+        }
+    }
+    out
+}
+
+/// Materialise the join of the given atoms of `cq` (selection predicates
+/// applied) as a counted relation over their attributes. Each step joins
+/// the first remaining atom that shares an attribute with the result so
+/// far, so cross products are taken only between disconnected parts. No
+/// atoms give the unit relation.
+pub fn join_atoms(db: &Database, cq: &ConjunctiveQuery, atoms: &[usize]) -> CountedRelation {
+    let mut rest: Vec<CountedRelation> = atoms
         .iter()
-        .map(|atom| {
+        .map(|&ai| {
+            let atom = &cq.atoms()[ai];
             let rel = db.relation(atom.relation);
             if atom.predicate.is_trivial() {
                 CountedRelation::from_relation(rel)
@@ -25,8 +54,23 @@ pub fn full_join(db: &Database, cq: &ConjunctiveQuery) -> CountedRelation {
             }
         })
         .collect();
-    let refs: Vec<&CountedRelation> = lifted.iter().collect();
-    multiway_join(&refs)
+    let mut acc = CountedRelation::unit();
+    while !rest.is_empty() {
+        let next = rest
+            .iter()
+            .position(|r| !r.schema().is_disjoint_from(acc.schema()))
+            .unwrap_or(0);
+        acc = nested_loop_join(&acc, &rest.remove(next));
+    }
+    acc
+}
+
+/// Materialise `Q(D)` as a counted relation over all query attributes
+/// (selection predicates applied). Handles disconnected queries via cross
+/// products.
+pub fn full_join(db: &Database, cq: &ConjunctiveQuery) -> CountedRelation {
+    let all: Vec<usize> = (0..cq.atom_count()).collect();
+    join_atoms(db, cq, &all)
 }
 
 /// `|Q(D)|` under bag semantics, by materialising the full join.

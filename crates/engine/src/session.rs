@@ -1421,7 +1421,7 @@ impl std::fmt::Debug for EngineSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::yannakakis::count_query_legacy;
+    use crate::naive_eval::naive_count;
     use tsens_data::{Relation, Row, Schema, Value};
     use tsens_query::{gyo_decompose, Predicate};
 
@@ -1451,10 +1451,10 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_legacy_and_hits_cache_when_warm() {
+    fn count_matches_naive_and_hits_cache_when_warm() {
         let (db, q, tree) = path_db();
         let session = EngineSession::new(&db);
-        let expected = count_query_legacy(&db, &q, &tree);
+        let expected = naive_count(&db, &q);
         assert_eq!(session.count_query(&q, &tree).unwrap(), expected);
         assert_eq!(session.count_query(&q, &tree).unwrap(), expected);
         let stats = session.stats();
@@ -1477,10 +1477,10 @@ mod tests {
         assert_eq!(l1.total_count(), 2);
         let stats = session.stats();
         assert_eq!((stats.atom_misses, stats.atom_hits), (1, 1));
-        // Counting under the predicate matches the legacy path.
+        // Counting under the predicate matches the naive oracle.
         assert_eq!(
             session.count_query(&q1, &tree).unwrap(),
-            count_query_legacy(&db, &q1, &tree)
+            naive_count(&db, &q1)
         );
     }
 
@@ -1571,7 +1571,7 @@ mod tests {
         // And it matches a from-scratch run on the mutated catalog.
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            count_query_legacy(session.database(), &q, &tree)
+            naive_count(session.database(), &q)
         );
     }
 
@@ -1638,7 +1638,7 @@ mod tests {
         assert_eq!(session.count_query(&q, &tree).unwrap(), before);
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            count_query_legacy(session.database(), &q, &tree)
+            naive_count(session.database(), &q)
         );
         // Delete it again: back to the original database.
         assert!(session
@@ -1690,7 +1690,7 @@ mod tests {
         let session = EngineSession::for_query(&db, &q);
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            count_query_legacy(&db, &q, &tree)
+            naive_count(&db, &q)
         );
         // A genuinely partial session (S only) is read-only, and says so
         // with a typed error instead of panicking.
@@ -1754,7 +1754,7 @@ mod tests {
         assert_eq!(session.stats().dict_epochs, 1, "one deferred epoch");
         assert_eq!(
             session.count_query(&q, &tree).unwrap(),
-            count_query_legacy(session.database(), &q, &tree)
+            naive_count(session.database(), &q)
         );
         let _ = before;
     }

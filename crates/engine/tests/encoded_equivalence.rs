@@ -1,22 +1,21 @@
-//! Property tests: the dictionary-encoded fast path is observationally
-//! identical to the legacy `Value`-row engine.
+//! Property tests: the dictionary-encoded engine is observationally
+//! identical to the naive `Value`-row oracle ([`tsens_engine::naive_eval`]).
 //!
 //! For random path, star and triangle databases (with mixed Int/Str
 //! columns) we check that
 //!
-//! * [`count_query`] (encoded) == [`count_query_legacy`] == `naive_count`;
-//! * every node's encoded ⊥/⊤ summary, decoded back through the
-//!   dictionary, equals the legacy pass output **exactly** — same rows,
-//!   same counts, same (deterministic) order.
+//! * [`count_query`] == `naive_count`;
+//! * every node's ⊥/⊤ summary in a session's pass state, decoded back
+//!   through the session dictionary, equals its definition evaluated by brute force
+//!   **exactly** — same rows, same counts, same (deterministic) order:
+//!   ⊥(v) is `γ_{up(v)}` of the naive join of `v`'s subtree atoms, and
+//!   ⊤(v) is `γ_{up(v)}` of the naive join of every other atom.
 
 use proptest::prelude::*;
-use tsens_data::{Database, Dict, Relation, Schema, Value};
-use tsens_engine::naive_eval::naive_count;
-use tsens_engine::passes::{
-    bag_relations, bag_relations_from_enc, botjoin_pass, botjoin_pass_enc, lift_atoms_enc,
-    topjoin_pass, topjoin_pass_enc,
-};
-use tsens_engine::yannakakis::{count_query, count_query_legacy};
+use tsens_data::{Database, Relation, Schema, Value};
+use tsens_engine::naive_eval::{join_atoms, naive_count};
+use tsens_engine::yannakakis::count_query;
+use tsens_engine::EngineSession;
 use tsens_query::{auto_decompose, gyo_decompose, ConjunctiveQuery, DecompositionTree};
 
 /// Mixed-type value: a third of the domain becomes strings so the
@@ -55,29 +54,37 @@ fn database(edges: &[(&str, &str)], rows: &[Vec<Vec<i64>>]) -> (Database, Conjun
     (db, q)
 }
 
-/// Assert the encoded passes match the legacy ones node for node.
+/// The atoms of `v`'s subtree.
+fn subtree_atoms(tree: &DecompositionTree, v: usize) -> Vec<usize> {
+    let mut atoms = tree.bags()[v].atoms.clone();
+    for &c in tree.children(v) {
+        atoms.extend(subtree_atoms(tree, c));
+    }
+    atoms
+}
+
+/// Assert the encoded passes match their brute-force definitions node
+/// for node.
 fn assert_passes_equivalent(db: &Database, q: &ConjunctiveQuery, tree: &DecompositionTree) {
-    // Counts: encoded == legacy == brute force.
+    // Counts: encoded == brute force.
     let enc = count_query(db, q, tree);
-    let leg = count_query_legacy(db, q, tree);
     let brute = naive_count(db, q);
-    assert_eq!(enc, leg, "encoded vs legacy count");
     assert_eq!(enc, brute, "encoded vs naive count");
 
     // Summaries: decode(⊥_enc) == ⊥ and decode(⊤_enc) == ⊤ exactly.
-    let dict = Dict::from_database(db);
-    let lifted_enc = lift_atoms_enc(db, q, &dict);
-    let bags_enc = bag_relations_from_enc(&lifted_enc, tree);
-    let bots_enc = botjoin_pass_enc(tree, &bags_enc);
-    let tops_enc = topjoin_pass_enc(tree, &bags_enc, &bots_enc);
-
-    let bags = bag_relations(db, q, tree);
-    let bots = botjoin_pass(tree, &bags);
-    let tops = topjoin_pass(tree, &bags, &bots);
+    let passes = EngineSession::new(db).passes(q, tree).unwrap();
+    let (dict, bots_enc, tops_enc) = (&passes.dict, &passes.bots, passes.tops(tree));
 
     for v in 0..tree.bag_count() {
-        assert_eq!(bots_enc[v].decode(&dict), bots[v], "⊥ mismatch at node {v}");
-        assert_eq!(tops_enc[v].decode(&dict), tops[v], "⊤ mismatch at node {v}");
+        let up = tree.up_schema(v);
+        let inside = subtree_atoms(tree, v);
+        let outside: Vec<usize> = (0..q.atom_count())
+            .filter(|ai| !inside.contains(ai))
+            .collect();
+        let bot = join_atoms(db, q, &inside).group(&up);
+        let top = join_atoms(db, q, &outside).group(&up);
+        assert_eq!(bots_enc[v].decode(dict), bot, "⊥ mismatch at node {v}");
+        assert_eq!(tops_enc[v].decode(dict), top, "⊤ mismatch at node {v}");
     }
 }
 
@@ -90,7 +97,7 @@ proptest! {
 
     /// Path query R0(A0,A1) ⋈ R1(A1,A2) ⋈ R2(A2,A3).
     #[test]
-    fn encoded_matches_legacy_on_paths(
+    fn encoded_matches_naive_on_paths(
         r0 in rows_strategy(12, 4),
         r1 in rows_strategy(12, 4),
         r2 in rows_strategy(12, 4),
@@ -105,7 +112,7 @@ proptest! {
 
     /// Star query R0(H,A) ⋈ R1(H,B) ⋈ R2(H,C) around a shared hub.
     #[test]
-    fn encoded_matches_legacy_on_stars(
+    fn encoded_matches_naive_on_stars(
         r0 in rows_strategy(10, 3),
         r1 in rows_strategy(10, 3),
         r2 in rows_strategy(10, 3),
@@ -120,7 +127,7 @@ proptest! {
 
     /// Triangle query R0(A,B) ⋈ R1(B,C) ⋈ R2(C,A) through a GHD.
     #[test]
-    fn encoded_matches_legacy_on_triangles(
+    fn encoded_matches_naive_on_triangles(
         r0 in rows_strategy(8, 3),
         r1 in rows_strategy(8, 3),
         r2 in rows_strategy(8, 3),

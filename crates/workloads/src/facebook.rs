@@ -25,9 +25,8 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use tsens_data::CountedRelation;
+use std::collections::BTreeMap;
 use tsens_data::{Count, Database, FastMap, Relation, Schema, Value};
-use tsens_engine::ops::{hash_join, multiway_join};
 use tsens_query::{ConjunctiveQuery, DecompositionTree, QueryError};
 
 /// Generator parameters; the default matches ego-net 348's shape.
@@ -203,45 +202,24 @@ pub fn facebook_database(params: FacebookParams, seed: u64) -> Database {
 }
 
 /// Enumerate directed triangles `(x,y,z)` with `E(x,y), E(y,z), E(z,x)`
-/// under bag semantics, via two hash joins.
+/// under bag semantics, in lexicographic `(x,y,z)` order: each distinct
+/// triangle repeats `m(x,y)·m(y,z)·m(z,x)` times, `m` being an edge's
+/// multiplicity in `edges`.
 fn triangle_rows(edges: &[(i64, i64)]) -> Vec<(i64, i64, i64)> {
-    if edges.is_empty() {
-        return Vec::new();
+    // Sorted adjacency with multiplicities: u → (v → m(u,v)).
+    let mut adj: BTreeMap<i64, BTreeMap<i64, usize>> = BTreeMap::new();
+    for &(u, v) in edges {
+        *adj.entry(u).or_default().entry(v).or_insert(0) += 1;
     }
-    // Build three counted copies over scratch attributes.
-    let x = tsens_data::AttrId(1000);
-    let y = tsens_data::AttrId(1001);
-    let z = tsens_data::AttrId(1002);
-    let rel = |s1, s2| {
-        CountedRelation::from_relation(&Relation::from_rows(
-            Schema::new(vec![s1, s2]),
-            edges
-                .iter()
-                .map(|&(u, v)| vec![Value::Int(u), Value::Int(v)])
-                .collect(),
-        ))
-    };
-    let exy = rel(x, y);
-    let eyz = rel(y, z);
-    let ezx = rel(z, x);
-    let joined = hash_join(&hash_join(&exy, &eyz), &ezx);
-    // Expand multiplicities back into bag rows (counts are small here:
-    // they come from duplicate circle edges).
-    let schema = joined.schema().clone();
-    let (ix, iy, iz) = (
-        schema.position(x).expect("x"),
-        schema.position(y).expect("y"),
-        schema.position(z).expect("z"),
-    );
+    let mult = |u: i64, v: i64| adj.get(&u).and_then(|out| out.get(&v)).copied();
     let mut out = Vec::new();
-    for (row, cnt) in joined.iter() {
-        let t = (
-            row[ix].as_int().expect("int"),
-            row[iy].as_int().expect("int"),
-            row[iz].as_int().expect("int"),
-        );
-        for _ in 0..(*cnt as usize) {
-            out.push(t);
+    for (&x, xs) in &adj {
+        for (&y, &mxy) in xs {
+            for (&z, &myz) in adj.get(&y).into_iter().flatten() {
+                if let Some(mzx) = mult(z, x) {
+                    out.extend(std::iter::repeat_n((x, y, z), mxy * myz * mzx));
+                }
+            }
         }
     }
     out
@@ -299,12 +277,6 @@ pub fn small_params() -> FacebookParams {
         p_out: 0.01,
         p_leader: 0.9,
     }
-}
-
-#[allow(dead_code)]
-fn unused_multiway_guard(inputs: &[&CountedRelation]) -> CountedRelation {
-    // Keeps the multiway_join import exercised for the doc example above.
-    multiway_join(inputs)
 }
 
 /// Histogram of how many times each distinct directed edge repeats across
